@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import CSE, PerUserHLLPP, PerUserLPC, VirtualHLL
-from repro.core import FreeBS, FreeBSBatch, FreeRS, FreeRSBatch, encode_int_pairs
+from repro.core import FreeBS, FreeRS
 from repro.engine import DEFAULT_CHUNK_PAIRS, EncodedBatch
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_batch_throughput.json"
@@ -31,7 +31,6 @@ _RNG = np.random.default_rng(17)
 _USERS = _RNG.integers(0, 500, size=50_000)
 _ITEMS = _RNG.integers(0, 20_000, size=50_000)
 _PAIRS = [(int(user), int(item)) for user, item in zip(_USERS, _ITEMS)]
-_ENCODED_LEGACY = encode_int_pairs(_USERS, _ITEMS)
 
 #: Scalar paths are orders of magnitude slower; time them on a prefix and
 #: normalise per pair.
@@ -108,34 +107,12 @@ def test_batch_engine_throughput(benchmark, method):
     benchmark.pedantic(run, rounds=1, iterations=1)
 
 
-def test_freebs_legacy_batch_50k_pairs_encoded(benchmark):
-    """The original dense-state FreeBS batch class (kept for comparison)."""
-
-    def run():
-        estimator = FreeBSBatch(1 << 20, seed=1)
-        estimator.update_batch_encoded(*_ENCODED_LEGACY)
-        return estimator
-
-    benchmark(run)
-
-
-def test_freers_legacy_batch_50k_pairs_encoded(benchmark):
-    """The original FreeRS batch class (kept for comparison)."""
-
-    def run():
-        estimator = FreeRSBatch((1 << 20) // 5, seed=1)
-        estimator.update_batch_encoded(*_ENCODED_LEGACY)
-        return estimator
-
-    benchmark(run)
-
-
 def test_engine_sweep_speedups_and_json(benchmark):
     """Sweep all six methods under both engines; persist machine-readable JSON.
 
     Asserts the acceptance bars: >= 5x per-pair speedup for CSE and vHLL
-    (whose scalar paths are O(m) per pair), >= 3x for FreeBS (the historical
-    bar of the legacy batch classes).
+    (whose scalar paths are O(m) per pair), >= 3x for FreeBS (its
+    historical bar).
     """
 
     def sweep():

@@ -82,13 +82,8 @@ def _worker_counts() -> list:
     return counts
 
 
-def test_parallel_ingest_speedup_and_json(benchmark, ingest_transport):
-    """Sweep worker counts, assert bit-identity, persist the speedup JSON.
-
-    ``--transport queue`` re-runs the sweep over the Manager-queue handoff
-    (the default is the shared-memory ring); the choice is recorded in the
-    JSON so trajectories from the two transports are never confused.
-    """
+def test_parallel_ingest_speedup_and_json(benchmark):
+    """Sweep worker counts, assert bit-identity, persist the speedup JSON."""
 
     def sweep():
         results = {}
@@ -101,7 +96,6 @@ def test_parallel_ingest_speedup_and_json(benchmark, ingest_transport):
                 expected_users=_N_USERS,
                 workers=workers,
                 shards=_SHARDS,
-                transport=ingest_transport,
             )
             if baseline is None:
                 baseline = report
@@ -118,7 +112,6 @@ def test_parallel_ingest_speedup_and_json(benchmark, ingest_transport):
 
     payload = {
         "method": _METHOD,
-        "transport": ingest_transport,
         "shards": _SHARDS,
         "pairs": _N_PAIRS,
         "users": _N_USERS,

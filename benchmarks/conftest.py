@@ -32,21 +32,6 @@ from repro.experiments.report import Table  # noqa: E402
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--transport",
-        choices=("shm", "queue"),
-        default="shm",
-        help="chunk-handoff transport used by the parallel-ingest benchmarks",
-    )
-
-
-@pytest.fixture(scope="session")
-def ingest_transport(request) -> str:
-    """The ``--transport`` the parallel-ingest benchmarks should exercise."""
-    return request.config.getoption("--transport")
-
-
 def _selected_config() -> ExperimentConfig:
     preset = os.environ.get("FREESKETCH_BENCH_PRESET", "quick").lower()
     if preset == "full":

@@ -3,13 +3,14 @@
 Two production concerns the scalar streaming API does not cover:
 
 * replaying a large recorded trace quickly (the pure-Python per-pair loop is
-  the bottleneck, not the sketch math) — solved by the exact-equivalent
-  vectorised batch estimators in ``repro.core.batch``;
+  the bottleneck, not the sketch math) — solved by the estimators'
+  vectorised ``update_encoded`` path over a ``repro.engine.EncodedBatch``,
+  exactly equivalent to the per-pair loop;
 * surviving a monitor restart — solved by the snapshot serialisation in
   ``repro.core.serialization``.
 
 This example generates a 200k-pair trace, replays it in batches with
-``FreeRSBatch`` while checkpointing after every batch, then "crashes",
+``FreeRS`` while checkpointing after every batch, then "crashes",
 restores the latest checkpoint and finishes the replay, verifying that the
 result is identical to an uninterrupted run.
 
@@ -26,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import FreeRSBatch, encode_int_pairs
+from repro.core import FreeRS
 from repro.core import serialization
+from repro.engine import EncodedBatch
 
 REGISTERS = (1 << 20) // 5
 PAIR_COUNT = 200_000
@@ -46,27 +48,31 @@ def main() -> None:
     checkpoint_dir = Path(tempfile.mkdtemp(prefix="freesketch-"))
 
     # --- uninterrupted replay (reference) ---------------------------------
-    reference = FreeRSBatch(REGISTERS, seed=1)
+    reference = FreeRS(REGISTERS, seed=1)
     start = time.perf_counter()
-    reference.update_batch_encoded(*encode_int_pairs(users, items))
+    reference.update_encoded(EncodedBatch.from_int_arrays(users, items))
     elapsed = time.perf_counter() - start
     print(f"replayed {PAIR_COUNT} pairs in {elapsed:.2f}s "
           f"({PAIR_COUNT / elapsed / 1e6:.2f}M pairs/s) with the batch path")
 
     # --- replay with checkpoints, interrupted half way ---------------------
-    monitor = FreeRSBatch(REGISTERS, seed=1)
+    monitor = FreeRS(REGISTERS, seed=1)
     checkpoint = checkpoint_dir / "monitor.json"
     crash_after = PAIR_COUNT // 2
     for start_index in range(0, crash_after, BATCH_SIZE):
         stop = min(start_index + BATCH_SIZE, crash_after)
-        monitor.update_batch_encoded(*encode_int_pairs(users[start_index:stop], items[start_index:stop]))
+        monitor.update_encoded(
+            EncodedBatch.from_int_arrays(users[start_index:stop], items[start_index:stop])
+        )
         serialization.save(monitor, checkpoint)
     print(f"'crash' after {crash_after} pairs; checkpoint at {checkpoint}")
 
     restored = serialization.load(checkpoint)
     for start_index in range(crash_after, PAIR_COUNT, BATCH_SIZE):
         stop = min(start_index + BATCH_SIZE, PAIR_COUNT)
-        restored.update_batch_encoded(*encode_int_pairs(users[start_index:stop], items[start_index:stop]))
+        restored.update_encoded(
+            EncodedBatch.from_int_arrays(users[start_index:stop], items[start_index:stop])
+        )
 
     # --- verify the restored run matches the uninterrupted one -------------
     reference_estimates = reference.estimates()

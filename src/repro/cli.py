@@ -167,7 +167,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             shards=args.shards,
             chunk_size=args.chunk_size,
-            transport=args.transport,
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -460,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="pairs per encoded chunk streamed to the workers (default 8192)",
-    )
-    run_ingest_parser.add_argument(
-        "--transport",
-        default="shm",
-        choices=["shm", "queue"],
-        help="chunk handoff to the workers: shared-memory slot rings (shm, "
-        "default) or multiprocessing.Manager queues (queue); both are "
-        "bit-identical, shm avoids the per-chunk pickle round-trip",
     )
     run_ingest_parser.add_argument("--top", type=int, default=10)
     run_ingest_parser.add_argument(

@@ -8,7 +8,6 @@ property the paper's title refers to.
 """
 
 from repro.core.base import CardinalityEstimator, EstimatorState
-from repro.core.batch import FreeBSBatch, FreeRSBatch, encode_int_pairs, encode_pairs
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 
@@ -17,8 +16,4 @@ __all__ = [
     "EstimatorState",
     "FreeBS",
     "FreeRS",
-    "FreeBSBatch",
-    "FreeRSBatch",
-    "encode_pairs",
-    "encode_int_pairs",
 ]

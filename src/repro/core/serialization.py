@@ -3,30 +3,37 @@
 Monitoring deployments need to checkpoint sketch state: a monitor restarts,
 a snapshot is shipped to an analysis box, or an operator wants yesterday's
 state next to today's.  This module serialises all six compared methods —
-FreeBS / FreeRS (scalar and batch variants), CSE, vHLL and the per-user LPC
-/ HLL++ baselines — plus :class:`repro.engine.ShardedEstimator` compositions
-of any of them, to a compact, versioned, self-describing JSON + base85
-payload, and restores them exactly: estimates, shared-array state and seeds
-round-trip so a restored estimator continues the stream as if nothing
-happened.
+FreeBS / FreeRS, CSE, vHLL and the per-user LPC / HLL++ baselines — plus
+:class:`repro.engine.ShardedEstimator` compositions of any of them, to a
+compact, versioned, self-describing JSON + base85 payload, and restores them
+exactly: estimates, shared-array state, counters and seeds round-trip so a
+restored estimator continues the stream as if nothing happened.
 
 Dispatch is codec-table driven: each estimator kind has one
 :class:`_Codec` (kind tag, estimator class, dump/load functions).  The six
 compared methods take their tag and class from the central method registry
 (:mod:`repro.registry` — the ``MethodSpec.tag`` field), so the snapshot
 format and the method layer cannot drift apart; the engine-level
-``Sharded`` envelope and the legacy ``FreeBSBatch`` / ``FreeRSBatch``
-variants are registered locally.
+``Sharded`` envelope is registered locally.
+
+The ``FreeBSBatch`` / ``FreeRSBatch`` tags are **load-only**: they name the
+dense-state batch classes that earlier releases kept beside FreeBS / FreeRS.
+Their envelopes (``bits`` + ``zero_bits``; ``int64`` register ``values``)
+restore as a plain :class:`FreeBS` / :class:`FreeRS` with the same shared
+array, estimates and pair count, and are written back under the
+``FreeBS`` / ``FreeRS`` tag.
 
 Format history:
 
-* version 1 — FreeBS / FreeRS (scalar and batch) only;
+* version 1 — FreeBS / FreeRS (and the batch tags) only;
 * version 2 — adds the ``CSE``, ``vHLL``, ``LPC``, ``HLL++`` and ``Sharded``
   kinds (sharded envelopes nest one sub-envelope per shard);
 * version 3 — adds ``bytes`` / ``tuple`` key kinds and the columnar
   estimates payload (pure-int user populations ship as two base85 arrays —
   int64 keys + float64 values — instead of one JSON triple per user).
   Loaders dispatch on payload *shape*, and versions 1-2 still load.
+  FreeBS / FreeRS bodies carry ``pairs_sampled``; bodies without it load
+  with 0.
 
 The format intentionally favours debuggability (a JSON envelope with the
 array payload base85-encoded) over minimum size; the arrays dominate and are
@@ -44,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 
@@ -55,7 +61,7 @@ _FORMAT_VERSION = 3
 #: Payload versions this loader understands (older versions stay readable).
 _ACCEPTED_VERSIONS = frozenset({1, 2, 3})
 
-SerializableEstimator = FreeBS | FreeRS | FreeBSBatch | FreeRSBatch
+SerializableEstimator = FreeBS | FreeRS
 
 
 def _encode_array(array: np.ndarray) -> str:
@@ -185,6 +191,7 @@ def _dump_freebs(estimator) -> dict:
         "memory_bits": estimator.M,
         "seed": estimator.seed,
         "pairs_processed": estimator.pairs_processed,
+        "pairs_sampled": estimator.pairs_sampled,
         "words": _encode_array(estimator._bits._words),
         "ones": estimator._bits.ones,
     }
@@ -193,26 +200,16 @@ def _dump_freebs(estimator) -> dict:
 def _load_freebs(body: dict):
     estimator = FreeBS(body["memory_bits"], seed=body["seed"])
     _restore_bitarray(estimator._bits, body["words"], body["ones"])
-    estimator._pairs_processed = int(body["pairs_processed"])
+    _restore_pair_counts(estimator, body)
     return estimator
 
 
-def _dump_freebs_batch(estimator) -> dict:
-    return {
-        "memory_bits": estimator.M,
-        "seed": estimator.seed,
-        "pairs_processed": estimator.pairs_processed,
-        "bits": _encode_array(estimator._bit_state),
-        "zero_bits": estimator._zero_bits,
-    }
-
-
 def _load_freebs_batch(body: dict):
-    estimator = FreeBSBatch(body["memory_bits"], seed=body["seed"])
+    """Legacy ``FreeBSBatch`` body: one bool per bit, restored into a FreeBS."""
+    estimator = FreeBS(body["memory_bits"], seed=body["seed"])
     bits = _decode_array(body["bits"], np.bool_, estimator.M)
-    estimator._bit_state[:] = bits
-    estimator._zero_bits = int(body["zero_bits"])
-    estimator._pairs_processed = int(body["pairs_processed"])
+    estimator._bits.set_many(np.flatnonzero(bits))
+    _restore_pair_counts(estimator, body)
     return estimator
 
 
@@ -222,6 +219,7 @@ def _dump_freers(estimator) -> dict:
         "register_width": estimator._registers.width,
         "seed": estimator.seed,
         "pairs_processed": estimator.pairs_processed,
+        "pairs_sampled": estimator.pairs_sampled,
         "values": _encode_array(estimator._registers.values),
     }
 
@@ -231,29 +229,23 @@ def _load_freers(body: dict):
         body["registers"], register_width=body["register_width"], seed=body["seed"]
     )
     _restore_registers(estimator._registers, body["values"], estimator.M)
-    estimator._pairs_processed = int(body["pairs_processed"])
+    _restore_pair_counts(estimator, body)
     return estimator
-
-
-def _dump_freers_batch(estimator) -> dict:
-    return {
-        "registers": estimator.M,
-        "register_width": estimator.register_width,
-        "seed": estimator.seed,
-        "pairs_processed": estimator.pairs_processed,
-        "values": _encode_array(estimator._register_state),
-    }
 
 
 def _load_freers_batch(body: dict):
-    estimator = FreeRSBatch(
+    """Legacy ``FreeRSBatch`` body: ``int64`` register values, restored into a FreeRS."""
+    estimator = FreeRS(
         body["registers"], register_width=body["register_width"], seed=body["seed"]
     )
-    values = _decode_array(body["values"], np.int64, estimator.M)
-    estimator._register_state[:] = values
-    estimator._harmonic_sum = float(np.sum(np.exp2(-values.astype(np.float64))))
-    estimator._pairs_processed = int(body["pairs_processed"])
+    _restore_registers(estimator._registers, body["values"], estimator.M, np.int64)
+    _restore_pair_counts(estimator, body)
     return estimator
+
+
+def _restore_pair_counts(estimator, body: dict) -> None:
+    estimator._pairs_processed = int(body["pairs_processed"])
+    estimator._pairs_sampled = int(body.get("pairs_sampled", 0))
 
 
 def _dump_cse(estimator) -> dict:
@@ -394,10 +386,16 @@ def _codecs() -> list[_Codec]:
     for name, spec in REGISTRY.items():
         dump, load = _METHOD_STATE_CODECS[name]
         table.append(_Codec(spec.tag, spec.estimator_cls, dump, load))
-    table.append(_Codec("FreeBSBatch", FreeBSBatch, _dump_freebs_batch, _load_freebs_batch))
-    table.append(_Codec("FreeRSBatch", FreeRSBatch, _dump_freers_batch, _load_freers_batch))
+    # Load-only legacy tags: indexed for loading but kept out of the dump
+    # table, so a restored estimator is written back under FreeBS / FreeRS.
+    legacy = [
+        _Codec("FreeBSBatch", FreeBS, _dump_freebs, _load_freebs_batch),
+        _Codec("FreeRSBatch", FreeRS, _dump_freers, _load_freers_batch),
+    ]
+    # Fill the tag index before publishing the table: a non-empty _CODECS
+    # tells other callers the index is ready.
+    _CODEC_BY_TAG.update({codec.tag: codec for codec in table + legacy})
     _CODECS.extend(table)
-    _CODEC_BY_TAG.update({codec.tag: codec for codec in table})
     return _CODECS
 
 
@@ -408,7 +406,7 @@ def _dump_body(estimator) -> tuple:
             return codec.tag, codec.dump(estimator)
     raise TypeError(
         f"cannot serialise {type(estimator).__name__}; supported kinds: "
-        "FreeBS/FreeRS (scalar or batch), CSE, vHLL, LPC, HLL++ and "
+        "FreeBS, FreeRS, CSE, vHLL, LPC, HLL++ and "
         "Sharded compositions of them"
     )
 
@@ -472,10 +470,12 @@ def _restore_bitarray(bits, words_payload: str, ones: int) -> None:
     bits._ones = int(ones)
 
 
-def _restore_registers(registers, values_payload: str, count: int) -> None:
+def _restore_registers(
+    registers, values_payload: str, count: int, dtype: type = np.uint8
+) -> None:
     # Replaying through update() keeps the incremental harmonic-sum and
     # zero-count bookkeeping on a clean trajectory (see RegisterArray).
-    values = _decode_array(values_payload, np.uint8, count)
+    values = _decode_array(values_payload, dtype, count)
     for index in np.nonzero(values)[0]:
         registers.update(int(index), int(values[index]))
 

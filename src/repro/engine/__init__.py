@@ -30,12 +30,7 @@ from repro.engine.base import (
     process_stream,
     supports_batch,
 )
-from repro.engine.encoding import (
-    EncodedBatch,
-    encode_int_pairs,
-    encode_pairs,
-    seed_mix,
-)
+from repro.engine.encoding import EncodedBatch, seed_mix
 from repro.engine.query import (
     gather_cached_estimates,
     positions_matrix_for_users,
@@ -51,8 +46,6 @@ __all__ = [
     "BatchUpdatable",
     "EncodedBatch",
     "ShardedEstimator",
-    "encode_int_pairs",
-    "encode_pairs",
     "gather_cached_estimates",
     "hot_path",
     "positions_matrix_for_users",

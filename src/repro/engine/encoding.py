@@ -12,9 +12,7 @@ quantities per arriving (user, item) pair:
 
 :class:`EncodedBatch` computes the folds once per batch and derives
 everything else lazily, so one encoded batch can be replayed through any
-number of estimators with any seeds — this generalises the original
-``encode_int_pairs`` fast path (which only produced pair keys, and therefore
-could only feed FreeBS/FreeRS) to the whole method zoo.
+number of estimators with any seeds.
 
 All folds go through :func:`repro.hashing.fold_key` /
 :func:`repro.hashing.fold_key_array`, which agree bit-for-bit with the scalar
@@ -24,7 +22,7 @@ integer ids.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from dataclasses import dataclass, field
 
@@ -117,10 +115,6 @@ class EncodedBatch:
         """Per-pair ``hash64(item, seed)`` values (the item-hash hot path)."""
         return splitmix64_array(self.item_hashes ^ seed_mix(seed))
 
-    def decode_table(self) -> dict[int, object]:
-        """Return the legacy ``{code: user}`` decode dict."""
-        return dict(enumerate(self.users))
-
     def subset(self, mask: np.ndarray) -> EncodedBatch:
         """Return a new batch containing only the pairs selected by ``mask``.
 
@@ -191,30 +185,3 @@ class EncodedBatch:
             users=[int(user) for user in unique_users],
         )
 
-
-def encode_pairs(
-    pairs: Iterable[UserItemPair],
-) -> tuple[np.ndarray, np.ndarray, dict[int, object]]:
-    """Encode arbitrary (user, item) pairs into integer arrays for batch APIs.
-
-    Legacy tuple-shaped API kept for the original FreeBS/FreeRS batch
-    estimators: returns ``(user_codes, pair_hash_keys, decode_table)``.  New
-    code should prefer :meth:`EncodedBatch.from_pairs`, which also carries the
-    separate user/item folds the other estimators need.
-    """
-    batch = EncodedBatch.from_pairs(list(pairs))
-    return batch.user_codes, batch.pair_keys(), batch.decode_table()
-
-
-def encode_int_pairs(
-    users: np.ndarray, items: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, object]]:
-    """Vectorised :func:`encode_pairs` for streams of integer users and items.
-
-    Produces exactly the same keys as the scalar path (``pair_key(u, i)``)
-    for the full integer range — negative ids and ids ``>= 2**63`` included —
-    without a Python-level loop for fixed-width dtypes.  The decode table maps
-    each user code to the original integer user id.
-    """
-    batch = EncodedBatch.from_int_arrays(users, items)
-    return batch.user_codes, batch.pair_keys(), batch.decode_table()

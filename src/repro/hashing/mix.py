@@ -122,7 +122,7 @@ def pair_key(user: object, item: object) -> int:
     Equal edges map to equal keys.  ``hash_pair(user, item, seed)`` is defined
     as one extra mix of this key with the seed, which lets batch processors
     pre-compute the key once and re-mix it cheaply for any seed
-    (see :mod:`repro.core.batch`).
+    (see :meth:`repro.engine.EncodedBatch.pair_keys`).
     """
     hu = fold_key(user)
     hi = fold_key(item)

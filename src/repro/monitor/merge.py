@@ -45,7 +45,6 @@ import numpy as np
 from repro.baselines.cse import CSE
 from repro.baselines.per_user import PerUserHLLPP, PerUserLPC
 from repro.baselines.vhll import VirtualHLL
-from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 from repro.engine.sharded import ShardedEstimator
@@ -64,7 +63,7 @@ def merge_exactness(estimator: object) -> str:
         return ADDITIVE if ADDITIVE in guarantees else EXACT
     if isinstance(estimator, (CSE, VirtualHLL, PerUserLPC, PerUserHLLPP)):
         return EXACT
-    if isinstance(estimator, (FreeBS, FreeRS, FreeBSBatch, FreeRSBatch)):
+    if isinstance(estimator, (FreeBS, FreeRS)):
         return ADDITIVE
     raise TypeError(f"no monitor merge support for {type(estimator).__name__}")
 
@@ -146,13 +145,6 @@ def merge_into(target, source, refresh_estimates: bool = True):
         target._pairs_processed += source._pairs_processed
         target._pairs_sampled += source._pairs_sampled
         return target
-    if isinstance(target, FreeBSBatch):
-        _require((target.M, target.seed) == (source.M, source.seed), "memory and seed")
-        np.logical_or(target._bit_state, source._bit_state, out=target._bit_state)
-        target._zero_bits = int(np.count_nonzero(~target._bit_state))
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
-        return target
     if isinstance(target, FreeRS):
         _require(
             (target.M, target._registers.width, target.seed)
@@ -163,19 +155,6 @@ def merge_into(target, source, refresh_estimates: bool = True):
         _sum_estimates(target, source)
         target._pairs_processed += source._pairs_processed
         target._pairs_sampled += source._pairs_sampled
-        return target
-    if isinstance(target, FreeRSBatch):
-        _require(
-            (target.M, target.register_width, target.seed)
-            == (source.M, source.register_width, source.seed),
-            "registers, width and seed",
-        )
-        np.maximum(target._register_state, source._register_state, out=target._register_state)
-        target._harmonic_sum = float(
-            np.sum(np.exp2(-target._register_state.astype(np.float64)))
-        )
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
         return target
     if isinstance(target, CSE):
         _require(

@@ -4,14 +4,12 @@
 (each replaying the engine's vectorised batch path over its slice of the
 stream) and merges the per-worker sketches into one estimator whose
 estimates are bit-identical to a single-process sharded run.  Chunks reach
-the workers over one of two transports — per-worker shared-memory slot
-rings (:mod:`repro.runtime.shm`, the default: one memcpy in, zero-copy
-views out) or the original ``multiprocessing.Manager`` queues
-(``transport="queue"``).  A worker crash aborts the run promptly with
-:class:`WorkerIngestError` (worker id + remote traceback) instead of
-blocking the coordinator on the bounded buffers.  Exposed through
-``repro.cli run --workers N [--transport shm|queue]``, the
-``parallel_ingest`` experiment and ``benchmarks/bench_parallel_ingest.py``.
+the workers through per-worker shared-memory slot rings
+(:mod:`repro.runtime.shm`: one memcpy in, zero-copy views out).  A worker
+crash aborts the run promptly with :class:`WorkerIngestError` (worker id +
+remote traceback) instead of blocking the coordinator on the bounded rings.
+Exposed through ``repro.cli run --workers N``, the ``parallel_ingest``
+experiment and ``benchmarks/bench_parallel_ingest.py``.
 
 :class:`IngestHandle` is the non-blocking counterpart for live serving: it
 drives batches into a sink (typically a
@@ -22,8 +20,6 @@ consistent state between batches without ever stalling ingest.
 
 from repro.runtime.handle import IngestHandle, batch_slices, ingest_handle_for_monitor
 from repro.runtime.parallel import (
-    QUEUE_DEPTH,
-    TRANSPORTS,
     IngestReport,
     WorkerIngestError,
     owned_shards,
@@ -34,8 +30,6 @@ from repro.runtime.parallel import (
 __all__ = [
     "IngestHandle",
     "IngestReport",
-    "QUEUE_DEPTH",
-    "TRANSPORTS",
     "WorkerIngestError",
     "batch_slices",
     "ingest_handle_for_monitor",

@@ -22,27 +22,23 @@ This module turns that property into an execution path:
    estimator via the sketch-level :meth:`~repro.engine.ShardedEstimator.merge`
    (legal because the touched shard sets are disjoint by construction).
 
-Two chunk-handoff transports carry step 1's slices to the workers.  The
-default, ``transport="shm"``, writes each slice into a per-worker
-shared-memory slot ring (:mod:`repro.runtime.shm`) — one memcpy in, a
-zero-copy numpy view out.  ``transport="queue"`` is the original
-``multiprocessing.Manager`` path — every chunk pickled through the
-manager's proxy process — kept as the portable fallback and as the second
-arm of the bit-identity tests.  Both transports preserve per-worker FIFO
-order and the backpressure/liveness semantics: a bounded buffer of four
-in-flight chunks per worker, a per-chunk liveness check, and a prompt
-:class:`WorkerIngestError` (worker id + remote traceback) when a worker
-dies, with buffered chunks drained so surviving siblings stop at their
-next read.
+Step 1's slices reach the workers through per-worker shared-memory slot
+rings (:mod:`repro.runtime.shm`) — one memcpy in, a zero-copy numpy view
+out; a slice too large for a slot (or not two plain arrays) travels
+pickled, through the slot or inline.  Each worker's chunks arrive in FIFO
+order under backpressure: a ring of four in-flight slots per worker, a
+per-chunk liveness check, and a prompt :class:`WorkerIngestError` (worker
+id + remote traceback) when a worker dies, with buffered chunks drained so
+surviving siblings stop at their next read.
 
 Because shard routing is deterministic in the user id, each shard sees
 exactly the pair sub-sequence it would have seen in a single-process run with
 the same chunking, and the batch paths are bit-identical to the scalar paths
 — so the merged estimator's estimates are **bit-identical** to the
-single-process ``shards=K`` run for either transport and any worker count
-(asserted by the test-suite and the CI smoke job).  ``workers=1`` runs the
-identical chunk/encode/route loop in-process, which is the fair baseline the
-speedup benchmark measures against.
+single-process ``shards=K`` run for any worker count (asserted by the
+test-suite and the CI smoke job).  ``workers=1`` runs the identical
+chunk/encode/route loop in-process, which is the fair baseline the speedup
+benchmark measures against.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from collections.abc import Callable, Iterable, Iterator
 import pickle
 import queue as queue_module
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,37 +59,21 @@ from repro.engine.encoding import EncodedBatch
 from repro.engine.sharded import ShardedEstimator, route_pair_shards, route_user_hashes
 from repro.hashing import fold_key_array
 from repro.registry import build
-from repro.runtime.shm import (
-    ShmRing,
-    as_raw_arrays,
-    ingest_item,
-    new_worker_stats,
-    shm_worker,
-    slot_size_for,
-)
+from repro.runtime.shm import ShmRing, as_raw_arrays, shm_worker, slot_size_for
 
 UserItemPair = tuple[object, object]
 
 _log = obs.get_logger("runtime.parallel")
-
-#: Encoded chunks buffered per worker (queue depth / shm ring slots) before
-#: the coordinator blocks — enough to keep workers busy, small enough to
-#: bound coordinator memory.
-QUEUE_DEPTH = 4
-
-#: Chunk-handoff transports accepted by :func:`parallel_ingest`.
-TRANSPORTS = ("shm", "queue")
 
 
 class WorkerIngestError(RuntimeError):
     """A shard worker failed mid-ingest.
 
     Raised by the coordinator as soon as a worker's death is observed —
-    during routing, while blocked on a bounded queue, or at result
-    collection — instead of leaving the run to grind on (or, worse, block
-    forever on a queue the dead worker will never drain).  Carries the
-    failing worker's index and the worker-side traceback text; the original
-    exception is chained as ``__cause__``.
+    during routing, while blocked on a full ring, or at result collection —
+    instead of leaving the run to grind on (or, worse, block forever on a
+    ring the dead worker will never drain).  Carries the failing worker's
+    index and the worker-side traceback text.
     """
 
     def __init__(self, worker: int, cause: BaseException, remote_traceback: str = ""):
@@ -116,42 +95,18 @@ class WorkerIngestError(RuntimeError):
         )
 
 
-def _raise_worker_error(worker: int, error: BaseException) -> None:
-    """Re-raise a worker's exception as :class:`WorkerIngestError`.
-
-    ``concurrent.futures`` ships the worker-side traceback back as a
-    ``_RemoteTraceback`` chained under the exception; surface its text so the
-    coordinator's error names the real crash site inside the worker.
-    """
-    remote = ""
-    cause = getattr(error, "__cause__", None)
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        remote = str(cause)
-    raise WorkerIngestError(worker, error, remote) from error
-
-
-def _check_workers(futures) -> None:
-    """Raise promptly if any worker future has already failed."""
-    for worker, future in enumerate(futures):
-        if future.done() and future.exception() is not None:
-            _raise_worker_error(worker, future.exception())
-
-
 def _drain_queues(queues) -> None:
     """Discard buffered chunks so surviving workers stop at the next get().
 
     Called on the abort path: live siblings should see their sentinel on the
     next queue read instead of first chewing through a backlog of chunks
-    whose merged result will never be used, and the manager should not shut
-    down with megabytes of arrays still parked in its queues.
+    whose merged result will never be used.
     """
     for chunk_queue in queues:
         while True:
             try:
                 chunk_queue.get_nowait()
             except queue_module.Empty:
-                break
-            except (EOFError, BrokenPipeError, ConnectionError):  # manager gone
                 break
 
 
@@ -168,8 +123,6 @@ class IngestReport:
     pairs: int
     #: Wall-clock seconds of the ingest (encode + route + update + merge).
     seconds: float
-    #: Chunk-handoff transport used ("shm", "queue"; "none" for workers=1).
-    transport: str = "none"
 
     @property
     def pairs_per_second(self) -> float:
@@ -245,10 +198,9 @@ def _route_stream(
 ) -> int:
     """Route a stream's chunks to their owning workers; return the pair count.
 
-    The single routing loop both transports share: ``send(worker, item)``
-    delivers one routed slice (raw ``(users, items)`` arrays on the integer
-    fast path, an :class:`EncodedBatch` otherwise) and ``check()`` is the
-    per-chunk liveness probe — a dead worker whose buffer never fills (few
+    ``send(worker, item)`` delivers one routed slice (raw ``(users, items)``
+    arrays on the integer fast path, an :class:`EncodedBatch` otherwise) and
+    ``check()`` is the per-chunk liveness probe — a dead worker whose buffer never fills (few
     pairs route to it) must still abort the run now, not at collection.
     """
     pairs = 0
@@ -280,50 +232,7 @@ def _route_stream(
     return pairs
 
 
-def _worker_ingest(method: str, config, expected_users: int, shards: int, chunk_queue):
-    """Worker body (queue transport): replay sub-batches, return state + stats.
-
-    Runs on a pool process.  The estimator is rebuilt from the registry with
-    the exact configuration the coordinator uses, so its per-shard
-    sub-sketches (hash seeds included) match the single-process run's.
-    Queue items are either pre-encoded batches or raw ``(users, items)``
-    array slices (the coordinator's fast path for integer streams), which
-    the worker encodes itself — folds are bit-identical either way.  The
-    returned stats dict (chunks, pairs, encode/update seconds) feeds the
-    coordinator's metrics registry.
-    """
-    from repro.core import serialization
-
-    estimator = build(method, config, expected_users, shards=shards)
-    stats = new_worker_stats()
-    while True:
-        item = chunk_queue.get()
-        if item is None:
-            break
-        ingest_item(estimator, item, stats)
-    return serialization.dumps(estimator), stats
-
-
-def _put_with_backpressure(chunk_queue, item, futures, worker: int) -> None:
-    """Enqueue one chunk, surfacing worker crashes instead of blocking forever."""
-    while True:
-        try:
-            chunk_queue.put(item, timeout=1.0)
-            break
-        except queue_module.Full:
-            _check_workers(futures)
-    obs.counter("ingest.parallel.chunks", transport="queue").add()
-    if obs.REGISTRY.enabled:
-        # qsize() on a Manager queue is a proxy round trip — only pay for
-        # it when telemetry is on (and never on platforms without it).
-        try:
-            depth = chunk_queue.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return
-        obs.gauge("ingest.queue.depth", worker=str(worker)).set(depth)
-
-
-# -- shm transport plumbing (coordinator side) ---------------------------------
+# -- shm ring plumbing (coordinator side) --------------------------------------
 
 
 def _check_ring_workers(processes, rings) -> None:
@@ -357,8 +266,7 @@ def _ring_send(ring: ShmRing, item, check: Callable[[], None], worker: int) -> N
 
     Backpressure is slot acquisition: with all slots in flight this blocks
     on the free queue, polling ``check()`` so a worker crash surfaces as
-    :class:`WorkerIngestError` instead of a hang — mirroring
-    :func:`_put_with_backpressure` on the Manager path.
+    :class:`WorkerIngestError` instead of a hang.
     """
     obs.counter("ingest.parallel.chunks", transport="shm").add()
     raw = as_raw_arrays(item)
@@ -434,33 +342,30 @@ def _collect_ring_result(worker: int, process, ring: ShmRing) -> tuple[str, dict
     raise WorkerIngestError(worker, RuntimeError(cause_repr), remote_tb)
 
 
-def _record_worker_stats(transport: str, worker: int, stats: dict) -> None:
+def _record_worker_stats(worker: int, stats: dict) -> None:
     """Fold one worker's shipped stats into the coordinator's registry."""
     if not stats:
         return
     label = str(worker)
-    obs.counter("ingest.parallel.worker_chunks", transport=transport, worker=label).add(
+    obs.counter("ingest.parallel.worker_chunks", transport="shm", worker=label).add(
         stats.get("chunks", 0)
     )
     obs.counter(
-        "ingest.parallel.worker_encode_seconds", transport=transport, worker=label
+        "ingest.parallel.worker_encode_seconds", transport="shm", worker=label
     ).add(stats.get("encode_seconds", 0.0))
     obs.counter(
-        "ingest.parallel.worker_update_seconds", transport=transport, worker=label
+        "ingest.parallel.worker_update_seconds", transport="shm", worker=label
     ).add(stats.get("update_seconds", 0.0))
 
 
 def _shm_parallel_ingest(
     stream, method, config, expected_users, workers, shards, chunk_size
 ) -> tuple[list[str], int]:
-    """Run the shm-transport ingest; return (worker payloads, pair count)."""
+    """Run the multi-worker ingest; return (worker payloads, pair count)."""
     import multiprocessing
 
     context = multiprocessing.get_context()
-    rings = [
-        ShmRing(context, slot_size_for(chunk_size), n_slots=QUEUE_DEPTH)
-        for _ in range(workers)
-    ]
+    rings = [ShmRing(context, slot_size_for(chunk_size)) for _ in range(workers)]
     processes = [
         context.Process(
             target=shm_worker,
@@ -515,7 +420,7 @@ def _shm_parallel_ingest(
         payloads = []
         for worker, (process, ring) in enumerate(zip(processes, rings)):
             payload, stats = _collect_ring_result(worker, process, ring)
-            _record_worker_stats("shm", worker, stats)
+            _record_worker_stats(worker, stats)
             payloads.append(payload)
         return payloads, pairs
     finally:
@@ -530,65 +435,6 @@ def _shm_parallel_ingest(
             ring.unlink()
 
 
-def _queue_parallel_ingest(
-    stream, method, config, expected_users, workers, shards, chunk_size
-) -> tuple[list[str], int]:
-    """Run the Manager-queue ingest; return (worker payloads, pair count)."""
-    import multiprocessing
-
-    context = multiprocessing.get_context()
-    with multiprocessing.Manager() as manager:
-        queues = [manager.Queue(maxsize=QUEUE_DEPTH) for _ in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as executor:
-            futures = [
-                executor.submit(
-                    _worker_ingest, method, config, expected_users, shards, queues[w]
-                )
-                for w in range(workers)
-            ]
-            try:
-                pairs = _route_stream(
-                    stream,
-                    chunk_size,
-                    shards,
-                    workers,
-                    config.seed,
-                    lambda w, item: _put_with_backpressure(
-                        queues[w], item, futures, w
-                    ),
-                    lambda: _check_workers(futures),
-                )
-            except WorkerIngestError:
-                # Cancel the siblings: discard their buffered chunks so the
-                # sentinels delivered below are the next thing they read.
-                for future in futures:
-                    future.cancel()
-                _drain_queues(queues)
-                raise
-            finally:
-                # Always deliver the sentinels: a worker blocked on get()
-                # would otherwise hang the pool shutdown on coordinator
-                # errors.  A finished future means the worker crashed (it
-                # only returns after seeing a sentinel), so skip its queue
-                # rather than blocking on it.
-                for future, chunk_queue in zip(futures, queues):
-                    while not future.done():
-                        try:
-                            chunk_queue.put(None, timeout=0.5)
-                            break
-                        except queue_module.Full:
-                            continue
-            payloads = []
-            for worker, future in enumerate(futures):
-                try:
-                    payload, stats = future.result()
-                except Exception as error:  # worker died after routing finished
-                    _raise_worker_error(worker, error)
-                _record_worker_stats("queue", worker, stats)
-                payloads.append(payload)
-            return payloads, pairs
-
-
 def parallel_ingest(
     stream: Iterable[UserItemPair],
     method: str = "FreeRS",
@@ -597,7 +443,6 @@ def parallel_ingest(
     workers: int = 1,
     shards: int | None = None,
     chunk_size: int | None = None,
-    transport: str = "shm",
 ) -> IngestReport:
     """Ingest a stream with ``workers`` processes; return the merged estimator.
 
@@ -624,18 +469,9 @@ def parallel_ingest(
     chunk_size:
         Pairs per encoded chunk (default
         :data:`~repro.engine.base.DEFAULT_CHUNK_PAIRS`).
-    transport:
-        Chunk handoff to the workers: ``"shm"`` (default) writes slices into
-        per-worker shared-memory slot rings (:mod:`repro.runtime.shm`);
-        ``"queue"`` pickles them through ``multiprocessing.Manager`` queues.
-        Both produce bit-identical estimators; ignored when ``workers == 1``.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {', '.join(TRANSPORTS)}, not {transport!r}"
-        )
     if shards is None:
         shards = max(workers, 1)
     if shards < workers:
@@ -672,12 +508,11 @@ def parallel_ingest(
             seconds=time.perf_counter() - start,
         )
 
-    runner = _shm_parallel_ingest if transport == "shm" else _queue_parallel_ingest
-    payloads, pairs = runner(
+    payloads, pairs = _shm_parallel_ingest(
         stream, method, config, expected_users, workers, shards, chunk_size
     )
-    obs.counter("ingest.parallel.pairs", transport=transport).add(pairs)
-    obs.histogram("ingest.parallel.run_seconds", transport=transport).observe(
+    obs.counter("ingest.parallel.pairs", transport="shm").add(pairs)
+    obs.histogram("ingest.parallel.run_seconds", transport="shm").observe(
         time.perf_counter() - start
     )
 
@@ -694,5 +529,4 @@ def parallel_ingest(
         shards=shards,
         pairs=pairs,
         seconds=time.perf_counter() - start,
-        transport=transport,
     )

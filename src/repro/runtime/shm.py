@@ -1,10 +1,9 @@
 """Shared-memory chunk handoff for the parallel ingest runtime.
 
-The Manager-queue transport of :mod:`repro.runtime.parallel` pays three
-copies per routed chunk: pickle in the coordinator, a round-trip through
-the manager's proxy process, unpickle in the worker.  For the dominant
-chunk shape — two fixed-width integer arrays — all of that is avoidable:
-this module gives each worker a fixed-slot ring in one
+The dominant routed-chunk shape is two fixed-width integer arrays, and
+pickling them through a pipe would cost three copies per chunk (pickle in
+the coordinator, the pipe, unpickle in the worker).  Instead, this module
+gives each worker a fixed-slot ring in one
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and the
 coordinator writes the arrays straight into a free slot (one ``memcpy``)
 while the worker reads them back as zero-copy numpy views.
@@ -26,13 +25,12 @@ Layout and control flow:
 * results return on a third queue as ``("ok", state, stats)`` — the
   stats dict carries the worker's chunk/pair counts and encode/update
   timings for the coordinator's metrics registry — or
-  ``("error", traceback, repr)``, which the coordinator turns into the
-  same :class:`~repro.runtime.parallel.WorkerIngestError` the queue
-  transport raises.
+  ``("error", traceback, repr)``, which the coordinator turns into a
+  :class:`~repro.runtime.parallel.WorkerIngestError`.
 
 Backpressure is the ring itself: with every slot in flight the
-coordinator blocks acquiring a free slot (polling worker liveness), which
-is exactly the bounded-queue behaviour of the Manager path.  Items that
+coordinator blocks acquiring a free slot (polling worker liveness), so at
+most :data:`SLOTS_PER_WORKER` chunks per worker are in flight.  Items that
 cannot be written raw (``object``-dtype ids, pre-encoded batches larger
 than a slot) fall back to pickling — through the slot when they fit,
 inline through the ready queue when they do not — so the transport never
@@ -69,8 +67,8 @@ def new_worker_stats() -> dict[str, float]:
 def ingest_item(estimator, item, stats: dict[str, float]) -> None:
     """Encode (if needed) and apply one routed chunk, accumulating stats.
 
-    Shared by both transports' workers so the replay stays bit-identical
-    and the timing split (encode vs update) is measured the same way.
+    Raw ``(users, items)`` slices are encoded here, on the worker, so the
+    encode time is split out from the update time in the stats.
     """
     if isinstance(item, EncodedBatch):
         batch = item
@@ -84,9 +82,10 @@ def ingest_item(estimator, item, stats: dict[str, float]) -> None:
     stats["chunks"] += 1
     stats["pairs"] += len(batch)
 
-#: Slots per worker ring — mirrors the Manager transport's QUEUE_DEPTH:
-#: enough buffered chunks to keep a worker busy, small enough to bound the
-#: coordinator's memory and keep the abort path prompt.
+
+#: Slots per worker ring: enough buffered chunks to keep a worker busy,
+#: small enough to bound the coordinator's memory and keep the abort path
+#: prompt.
 SLOTS_PER_WORKER = 4
 
 #: Slot payload kinds.
@@ -248,9 +247,9 @@ def shm_worker(
 ) -> None:
     """Worker process body: replay slot/inline chunks, post serialised state.
 
-    The estimator construction and the per-item replay are identical to the
-    Manager-queue worker (:func:`repro.runtime.parallel._worker_ingest`), so
-    the two transports produce bit-identical states.  Failures of any kind
+    The estimator is rebuilt from the registry with the exact configuration
+    the coordinator uses, so its per-shard sub-sketches (hash seeds
+    included) match the single-process run's.  Failures of any kind
     are posted as ``("error", traceback, repr)`` — the coordinator cannot
     see this process's exception directly (there is no Future here).
     """

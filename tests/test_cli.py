@@ -108,6 +108,14 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", str(path), "--workers", "4", "--shards", "2"])
 
+    def test_run_has_no_transport_option(self, capsys):
+        # The shared-memory ring is the only chunk handoff: argparse treats
+        # --transport as an unknown option (exit status 2, usage on stderr).
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "edges.tsv", "--transport", "queue"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
 
 class TestMonitorCommand:
     def _dataset(self, tmp_path):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FreeBS, encode_int_pairs, encode_pairs
+from repro.core import FreeBS
 from repro.engine import EncodedBatch
 from repro.hashing import fold_key, fold_key_array, hash64, pair_key
 
@@ -55,7 +55,7 @@ class TestFoldKeyArray:
 
 
 class TestEncodeIntPairsEdgeIds:
-    """Regression tests for the `astype(np.uint64)` edge (satellite task)."""
+    """Regression tests for the ``astype(np.uint64)`` edge of the int encoder."""
 
     @pytest.mark.parametrize(
         "dtype",
@@ -71,11 +71,11 @@ class TestEncodeIntPairsEdgeIds:
             ids = EDGE_IDS + [-(2**70), 2**100]
         users = np.array(ids, dtype=dtype)
         items = np.array(list(reversed(ids)), dtype=dtype)
-        codes, keys, decode = encode_int_pairs(users, items)
+        batch = EncodedBatch.from_int_arrays(users, items)
         expected = [pair_key(int(u), int(i)) for u, i in zip(users, items)]
-        assert keys.tolist() == expected
+        assert batch.pair_keys().tolist() == expected
         for position, user in enumerate(users):
-            assert decode[int(codes[position])] == int(user)
+            assert batch.users[int(batch.user_codes[position])] == int(user)
 
     def test_negative_ids_round_trip_through_freebs(self):
         users = np.array([-1, -2, -1, -(2**40), 3], dtype=np.int64)
@@ -127,12 +127,14 @@ class TestEncodeIntPairsEdgeIds:
         assert vectorised.estimates() == scalar.estimates()
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            encode_int_pairs(np.array([1, 2]), np.array([1]))
+        with pytest.raises(ValueError, match="same length"):
+            EncodedBatch.from_int_arrays(np.array([1, 2]), np.array([1]))
 
     def test_rejects_multidimensional_input(self):
-        with pytest.raises(ValueError):
-            encode_int_pairs(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            EncodedBatch.from_int_arrays(
+                np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+            )
 
 
 class TestEncodedBatch:
@@ -170,9 +172,19 @@ class TestEncodedBatch:
         for position, (user, _) in enumerate(kept):
             assert sub.users[int(sub.user_codes[position])] == user
 
-    def test_legacy_encode_pairs_shape(self):
+    def test_from_pairs_keys_match_pair_key(self):
         pairs = [("alice", "x"), ("bob", "y"), ("alice", "x")]
-        codes, keys, decode = encode_pairs(pairs)
-        assert keys.tolist() == [pair_key(u, i) for u, i in pairs]
-        assert decode[int(codes[0])] == "alice"
-        assert codes[0] == codes[2]
+        batch = EncodedBatch.from_pairs(pairs)
+        assert batch.pair_keys().tolist() == [pair_key(u, i) for u, i in pairs]
+        assert batch.users[int(batch.user_codes[0])] == "alice"
+        assert batch.user_codes[0] == batch.user_codes[2]
+        assert batch.n_users == 2
+
+    def test_from_int_arrays_keys_match_pair_key(self):
+        users = np.array([1, 2, 3, 1], dtype=np.int64)
+        items = np.array([10, 20, 30, 10], dtype=np.int64)
+        batch = EncodedBatch.from_int_arrays(users, items)
+        expected = [pair_key(int(u), int(i)) for u, i in zip(users, items)]
+        assert batch.pair_keys().tolist() == expected
+        assert batch.users[int(batch.user_codes[0])] == 1
+        assert batch.user_codes[0] == batch.user_codes[3]

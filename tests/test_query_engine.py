@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import CSE, PerUserHLLPP, PerUserLPC, VirtualHLL
-from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 from repro.core.serialization import dumps, loads
@@ -40,8 +39,6 @@ def _factories():
         "vHLL": lambda seed=3: VirtualHLL(1 << 12, virtual_size=64, seed=seed),
         "LPC": lambda seed=3: PerUserLPC(1 << 15, expected_users=40, seed=seed),
         "HLL++": lambda seed=3: PerUserHLLPP(1 << 15, expected_users=40, seed=seed),
-        "FreeBS(batch)": lambda seed=3: FreeBSBatch(1 << 12, seed=seed),
-        "FreeRS(batch)": lambda seed=3: FreeRSBatch(1 << 10, seed=seed),
     }
 
 

@@ -48,20 +48,18 @@ class TestSingleProcessPath:
 
 
 class TestMultiprocessBitIdentity:
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
     @pytest.mark.parametrize("method", ["FreeRS", "CSE"])
-    def test_two_workers_match_single_process(self, method, transport, stream):
+    def test_two_workers_match_single_process(self, method, stream):
         single = parallel_ingest(
             stream, method=method, config=_CONFIG, expected_users=_USERS,
             workers=1, shards=2,
         )
         parallel = parallel_ingest(
             stream, method=method, config=_CONFIG, expected_users=_USERS,
-            workers=2, shards=2, transport=transport,
+            workers=2, shards=2,
         )
         assert parallel.estimates() == single.estimates()
         assert parallel.pairs == single.pairs == len(stream)
-        assert parallel.transport == transport
 
     @pytest.mark.parametrize("method", METHOD_ORDER)
     def test_shm_transport_bit_identical_for_every_method(self, method, stream):
@@ -73,7 +71,7 @@ class TestMultiprocessBitIdentity:
         )
         parallel = parallel_ingest(
             stream, method=method, config=_CONFIG, expected_users=_USERS,
-            workers=2, shards=2, transport="shm",
+            workers=2, shards=2,
         )
         assert parallel.estimates() == single.estimates()
 
@@ -92,7 +90,7 @@ class TestMultiprocessBitIdentity:
         )
         parallel = parallel_ingest(
             stream, method="FreeRS", config=_CONFIG, expected_users=_USERS,
-            workers=2, shards=2, chunk_size=2048, transport="shm",
+            workers=2, shards=2, chunk_size=2048,
         )
         assert parallel.estimates() == single.estimates()
 
@@ -147,8 +145,9 @@ class TestValidation:
             parallel_ingest(stream, workers=1, chunk_size=0)
 
     def test_rejects_unknown_transport(self, stream):
-        with pytest.raises(ValueError, match="transport must be one of"):
-            parallel_ingest(stream, workers=2, transport="carrier-pigeon")
+        # The shm ring is the only chunk handoff; there is no transport knob.
+        with pytest.raises(TypeError, match="transport"):
+            parallel_ingest(stream, workers=2, transport="queue")
 
     def test_owned_shards_round_robin(self):
         assert owned_shards(0, 2, 5) == [0, 2, 4]
@@ -161,13 +160,11 @@ class TestWorkerFailure:
     """A dying worker (or a poisoned stream) must abort the run, not hang it.
 
     The coordinator checks worker liveness every chunk and every time a
-    bounded queue blocks, drains the queues, cancels the siblings, and
-    re-raises the worker error as WorkerIngestError with the worker-side
-    traceback attached.
+    full ring blocks, drains the rings, and re-raises the worker error as
+    WorkerIngestError with the worker-side traceback attached.
     """
 
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_poisoned_stream_raises_within_the_run(self, transport):
+    def test_poisoned_stream_raises_within_the_run(self):
         import time
 
         class PoisonedStream:
@@ -181,12 +178,10 @@ class TestWorkerFailure:
             parallel_ingest(
                 PoisonedStream(), method="vHLL", config=_CONFIG,
                 expected_users=_USERS, workers=2, chunk_size=512,
-                transport=transport,
             )
         assert time.perf_counter() - start < 30.0
 
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_worker_exception_raises_worker_ingest_error(self, monkeypatch, transport):
+    def test_worker_exception_raises_worker_ingest_error(self, monkeypatch):
         import multiprocessing
         import time
 
@@ -196,17 +191,13 @@ class TestWorkerFailure:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("worker-failure injection relies on fork inheriting the patch")
 
-        if transport == "queue":
-            monkeypatch.setattr(parallel_module, "_worker_ingest", _exploding_worker)
-        else:
-            monkeypatch.setattr(parallel_module, "shm_worker", _exploding_worker_shm)
+        monkeypatch.setattr(parallel_module, "shm_worker", _exploding_worker)
         pairs = [(index % 40, index) for index in range(60_000)]
         start = time.perf_counter()
         with pytest.raises(WorkerIngestError) as excinfo:
             parallel_ingest(
                 GraphStream(pairs), method="vHLL", config=_CONFIG,
                 expected_users=_USERS, workers=2, chunk_size=512,
-                transport=transport,
             )
         # Raised mid-run (not after an end-of-stream timeout), names the
         # worker, and carries the worker-side traceback.
@@ -215,10 +206,7 @@ class TestWorkerFailure:
         assert "worker exploded" in str(excinfo.value)
         assert "_exploding_worker" in excinfo.value.remote_traceback
 
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_instantly_dead_worker_detected_before_result_collection(
-        self, monkeypatch, transport
-    ):
+    def test_instantly_dead_worker_detected_before_result_collection(self, monkeypatch):
         import multiprocessing
 
         import repro.runtime.parallel as parallel_module
@@ -227,25 +215,16 @@ class TestWorkerFailure:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("worker-failure injection relies on fork inheriting the patch")
 
-        if transport == "queue":
-            monkeypatch.setattr(parallel_module, "_worker_ingest", _instantly_dead_worker)
-        else:
-            monkeypatch.setattr(parallel_module, "shm_worker", _instantly_dead_worker_shm)
+        monkeypatch.setattr(parallel_module, "shm_worker", _instantly_dead_worker)
         pairs = [(index % 40, index) for index in range(20_000)]
         with pytest.raises(WorkerIngestError):
             parallel_ingest(
                 GraphStream(pairs), method="FreeRS", config=_CONFIG,
                 expected_users=_USERS, workers=2, chunk_size=256,
-                transport=transport,
             )
 
 
-def _exploding_worker(method, config, expected_users, shards, chunk_queue):
-    chunk_queue.get()
-    raise ValueError("worker exploded")
-
-
-def _exploding_worker_shm(
+def _exploding_worker(
     method, config, expected_users, shards, shm_name, slot_size,
     free_queue, ready_queue, result_queue,
 ):
@@ -262,11 +241,7 @@ def _exploding_worker_shm(
         sys.exit(1)
 
 
-def _instantly_dead_worker(method, config, expected_users, shards, chunk_queue):
-    raise ValueError("worker dead on arrival")
-
-
-def _instantly_dead_worker_shm(
+def _instantly_dead_worker(
     method, config, expected_users, shards, shm_name, slot_size,
     free_queue, ready_queue, result_queue,
 ):

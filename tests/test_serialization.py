@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import FreeBS, FreeBSBatch, FreeRS, FreeRSBatch
+from repro.core import FreeBS, FreeRS
 from repro.core import serialization
 from repro.baselines import CSE, ExactCounter, PerUserHLLPP, PerUserLPC, VirtualHLL
 from repro.engine import ShardedEstimator
@@ -28,10 +28,8 @@ def _pairs(count, seed=0):
     [
         lambda: FreeBS(1 << 12, seed=3),
         lambda: FreeRS(1 << 9, seed=3),
-        lambda: FreeBSBatch(1 << 12, seed=3),
-        lambda: FreeRSBatch(1 << 9, seed=3),
     ],
-    ids=["FreeBS", "FreeRS", "FreeBSBatch", "FreeRSBatch"],
+    ids=["FreeBS", "FreeRS"],
 )
 class TestRoundTrip:
     def test_estimates_survive_round_trip(self, factory):
@@ -244,13 +242,20 @@ class TestCrossVersionLoads:
         # v3's headline change: pure-int user populations ship as two base85
         # columns.  Assert the wire form is actually columnar, and that it
         # restores the exact dict (including key *types* — ints, not strs).
-        estimator = _feed(FreeBS(1 << 12, seed=3), _pairs(2_000, seed=11))
-        envelope = json.loads(serialization.dumps(estimator))
-        assert envelope["version"] == 3
-        assert envelope["estimates"]["encoding"] == "columnar-i64"
-        restored = serialization.from_obj(envelope)
-        assert restored.estimates() == estimator.estimates()
-        assert all(type(user) is int for user in restored.estimates())
+        for estimator in (
+            _feed(FreeBS(1 << 12, seed=3), _pairs(2_000, seed=11)),
+            _feed(FreeRS(1 << 9, seed=3), _pairs(2_000, seed=11)),
+        ):
+            envelope = json.loads(serialization.dumps(estimator))
+            assert envelope["version"] == 3
+            assert envelope["estimates"]["encoding"] == "columnar-i64"
+            restored = serialization.from_obj(envelope)
+            assert restored.estimates() == estimator.estimates()
+            assert all(type(user) is int for user in restored.estimates())
+            # The pair counters survive too (pairs_sampled used to restore as 0).
+            assert 0 < estimator.pairs_sampled < estimator.pairs_processed
+            assert restored.pairs_processed == estimator.pairs_processed
+            assert restored.pairs_sampled == estimator.pairs_sampled
 
     def test_v3_mixed_keys_fall_back_to_triples(self):
         import json
@@ -303,3 +308,87 @@ class TestCrossVersionLoads:
 
         with pytest.raises(json.JSONDecodeError):
             serialization.loads(payload[: len(payload) // 2])
+
+
+def _b85(array) -> str:
+    import base64
+
+    import numpy as np
+
+    return base64.b85encode(np.ascontiguousarray(array).tobytes()).decode("ascii")
+
+
+def _legacy_envelope(kind: str, body: dict, estimates: dict, version: int) -> dict:
+    """An envelope as the removed dense-state batch classes wrote it."""
+    return {
+        "format": "freesketch-snapshot",
+        "version": version,
+        "kind": kind,
+        "estimates": serialization._estimates_to_json(estimates)
+        if version < 3
+        else serialization._estimates_payload(estimates),
+        "body": body,
+    }
+
+
+class TestLegacyBatchTags:
+    """``FreeBSBatch`` / ``FreeRSBatch`` envelopes load as FreeBS / FreeRS.
+
+    The bodies are built by hand in the layout the removed batch dumpers
+    wrote — one ``bool`` per bit plus ``zero_bits`` for FreeBS, ``int64``
+    register values for FreeRS, no ``pairs_sampled`` — at every accepted
+    envelope version.
+    """
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_freebs_batch_tag_restores_a_freebs(self, version):
+        import numpy as np
+
+        original = _feed(FreeBS(1 << 12, seed=3), _pairs(2_000, seed=13))
+        bits = original._bits.get_bits(np.arange(original.M)).astype(np.bool_)
+        body = {
+            "memory_bits": original.M,
+            "seed": original.seed,
+            "pairs_processed": original.pairs_processed,
+            "bits": _b85(bits),
+            "zero_bits": int(np.count_nonzero(~bits)),
+        }
+        envelope = _legacy_envelope("FreeBSBatch", body, original.estimates(), version)
+        restored = serialization.from_obj(envelope)
+
+        assert type(restored) is FreeBS
+        assert restored._bits._words.tolist() == original._bits._words.tolist()
+        assert restored._bits.ones == original._bits.ones
+        assert restored.change_probability == original.change_probability
+        assert restored.estimates() == original.estimates()
+        assert restored.pairs_processed == original.pairs_processed
+        assert restored.pairs_sampled == 0  # the legacy body never carried it
+        assert serialization.to_obj(restored)["kind"] == "FreeBS"
+        tail = _pairs(1_000, seed=14)
+        assert _feed(restored, tail).estimates() == _feed(original, tail).estimates()
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_freers_batch_tag_restores_a_freers(self, version):
+        import numpy as np
+
+        original = _feed(FreeRS(1 << 9, seed=3), _pairs(2_000, seed=15))
+        body = {
+            "registers": original.M,
+            "register_width": original._registers.width,
+            "seed": original.seed,
+            "pairs_processed": original.pairs_processed,
+            "values": _b85(original._registers.values.astype(np.int64)),
+        }
+        envelope = _legacy_envelope("FreeRSBatch", body, original.estimates(), version)
+        restored = serialization.from_obj(envelope)
+
+        assert type(restored) is FreeRS
+        assert restored._registers.values.tolist() == original._registers.values.tolist()
+        assert restored._registers.zeros == original._registers.zeros
+        assert restored.change_probability == original.change_probability
+        assert restored.estimates() == original.estimates()
+        assert restored.pairs_processed == original.pairs_processed
+        assert restored.pairs_sampled == 0  # the legacy body never carried it
+        assert serialization.to_obj(restored)["kind"] == "FreeRS"
+        tail = _pairs(1_000, seed=16)
+        assert _feed(restored, tail).estimates() == _feed(original, tail).estimates()
